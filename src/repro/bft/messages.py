@@ -6,7 +6,9 @@ cryptography (§III-B).  Every type provides:
 * ``signing_payload()`` — the exact bytes covered by the signature;
 * ``signed(keypair)``   — a signed copy (messages are immutable);
 * ``verify(keystore)``  — signature check against the registered key;
-* ``encode()`` / ``decode()`` and ``encoded_size()`` — wire accounting.
+* ``write_to()`` / ``read_from()`` — the field layout; ``encode()``,
+  ``decode()`` and ``encoded_size()`` come from
+  :class:`~repro.wire.codec.WireMessage`, so sizes cannot drift from bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_CHECKPOINT, sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 from repro.wire.messages import SignedRequest
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
@@ -32,7 +34,7 @@ _DOMAIN_DECIDE_PROOF = b"pbft/decide-proof"
 
 
 @dataclass(frozen=True)
-class PrePrepare:
+class PrePrepare(WireMessage):
     """Primary's ordering proposal carrying the full signed request."""
 
     view: int
@@ -60,32 +62,25 @@ class PrePrepare:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.primary_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_bytes(self.request.encode())
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "PrePrepare":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "PrePrepare":
         view = reader.get_uint()
         seq = reader.get_uint()
         request = SignedRequest.decode(reader.get_bytes())
         primary_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(view=view, seq=seq, request=request, primary_id=primary_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
-class _PhaseVote:
+class _PhaseVote(WireMessage):
     """Shared shape of Prepare and Commit: a vote on (view, seq, digest)."""
 
     view: int
@@ -111,28 +106,21 @@ class _PhaseVote:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes):
-        reader = Reader(data)
+    def read_from(cls, reader: Reader):
         view = reader.get_uint()
         seq = reader.get_uint()
         digest = reader.get_fixed(32)
         replica_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(view=view, seq=seq, digest=digest, replica_id=replica_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,7 @@ class Commit(_PhaseVote):
 
 
 @dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(WireMessage):
     """Signed application snapshot reference: one per block (§III-C).
 
     ``state_digest`` commits to the block hash and the chain state so a
@@ -177,31 +165,24 @@ class Checkpoint:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.seq)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.state_digest, 32)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "Checkpoint":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "Checkpoint":
         seq = reader.get_uint()
         block_height = reader.get_uint()
         block_hash = reader.get_fixed(32)
         state_digest = reader.get_fixed(32)
         replica_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(seq=seq, block_height=block_height, block_hash=block_hash,
                    state_digest=state_digest, replica_id=replica_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 def checkpoint_state_digest(block_hash: bytes, chain_height: int, open_request_digests: list[bytes]) -> bytes:
@@ -215,7 +196,7 @@ def checkpoint_state_digest(block_hash: bytes, chain_height: int, open_request_d
 
 
 @dataclass(frozen=True)
-class PreparedProof:
+class PreparedProof(WireMessage):
     """Evidence in a ViewChange that (seq, digest) was prepared in ``view``."""
 
     view: int
@@ -223,30 +204,23 @@ class PreparedProof:
     digest: bytes
     request: SignedRequest
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
         writer.put_bytes(self.request.encode())
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "PreparedProof":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "PreparedProof":
         view = reader.get_uint()
         seq = reader.get_uint()
         digest = reader.get_fixed(32)
         request = SignedRequest.decode(reader.get_bytes())
-        reader.expect_end()
         return cls(view=view, seq=seq, digest=digest, request=request)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(WireMessage):
     """A replica's vote to move to ``new_view``."""
 
     new_view: int
@@ -272,36 +246,29 @@ class ViewChange:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.new_view)
         writer.put_uint(self.last_stable_seq)
         writer.put_fixed(self.stable_checkpoint_digest, 32)
         writer.put_list(list(self.prepared), lambda w, p: w.put_bytes(p.encode()))
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "ViewChange":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "ViewChange":
         new_view = reader.get_uint()
         last_stable_seq = reader.get_uint()
         stable_digest = reader.get_fixed(32)
         prepared = reader.get_list(lambda r: PreparedProof.decode(r.get_bytes()))
         replica_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(new_view=new_view, last_stable_seq=last_stable_seq,
                    stable_checkpoint_digest=stable_digest, prepared=tuple(prepared),
                    replica_id=replica_id, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class NewView:
+class NewView(WireMessage):
     """New primary's announcement: proof of 2f+1 view changes plus reproposals."""
 
     view: int
@@ -325,34 +292,27 @@ class NewView:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.primary_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
         writer.put_list(list(self.view_changes), lambda w, vc: w.put_bytes(vc.encode()))
         writer.put_list(list(self.preprepares), lambda w, pp: w.put_bytes(pp.encode()))
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "NewView":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "NewView":
         view = reader.get_uint()
         view_changes = reader.get_list(lambda r: ViewChange.decode(r.get_bytes()))
         preprepares = reader.get_list(lambda r: PrePrepare.decode(r.get_bytes()))
         primary_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(view=view, view_changes=tuple(view_changes),
                    preprepares=tuple(preprepares), primary_id=primary_id,
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DecideFetch:
+class DecideFetch(WireMessage):
     """A stalled replica asks a peer to replay decided sequence numbers.
 
     Message loss (or a view change discarding in-flight instances) can
@@ -383,31 +343,24 @@ class DecideFetch:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.requester_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.requester_id)
         writer.put_uint(self.first_seq)
         writer.put_uint(self.last_seq)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "DecideFetch":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "DecideFetch":
         requester_id = reader.get_str()
         first_seq = reader.get_uint()
         last_seq = reader.get_uint()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(requester_id=requester_id, first_seq=first_seq,
                    last_seq=last_seq, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DecideProof:
+class DecideProof(WireMessage):
     """One decided instance replayed: the preprepare plus its commit certificate.
 
     The proof is view-independent: 2f+1 signed commits on one
@@ -437,24 +390,17 @@ class DecideProof:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_bytes(self.preprepare.encode())
         writer.put_list(list(self.commits), lambda w, c: w.put_bytes(c.encode()))
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "DecideProof":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "DecideProof":
         replica_id = reader.get_str()
         preprepare = PrePrepare.decode(reader.get_bytes())
         commits = reader.get_list(lambda r: Commit.decode(r.get_bytes()))
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, preprepare=preprepare,
                    commits=tuple(commits), signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

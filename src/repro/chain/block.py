@@ -14,14 +14,14 @@ from functools import cached_property
 from repro.crypto.hashing import DOMAIN_BLOCK, sha256
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.util.errors import ChainError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 from repro.wire.messages import SignedRequest
 
 GENESIS_PREV_HASH = b"\x00" * 32
 
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(WireMessage):
     """Integrity-critical block metadata."""
 
     height: int
@@ -43,15 +43,13 @@ class BlockHeader:
             domain=DOMAIN_BLOCK,
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.height)
         writer.put_fixed(self.prev_hash, 32)
         writer.put_fixed(self.payload_root, 32)
         writer.put_uint(self.timestamp_us)
         writer.put_uint(self.request_count)
         writer.put_uint(self.last_sn)
-        return writer.getvalue()
 
     @classmethod
     def read_from(cls, reader: Reader) -> "BlockHeader":
@@ -64,19 +62,9 @@ class BlockHeader:
             last_sn=reader.get_uint(),
         )
 
-    @classmethod
-    def decode(cls, data: bytes) -> "BlockHeader":
-        reader = Reader(data)
-        header = cls.read_from(reader)
-        reader.expect_end()
-        return header
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class Block:
+class Block(WireMessage):
     """A header plus the ordered signed requests it commits to."""
 
     header: BlockHeader
@@ -106,22 +94,15 @@ class Block:
     def merkle_tree(self) -> MerkleTree:
         return MerkleTree(self.payload_leaves())
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_bytes(self.header.encode())
         writer.put_list(list(self.requests), lambda w, r: w.put_bytes(r.encode()))
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "Block":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "Block":
         header = BlockHeader.decode(reader.get_bytes())
         requests = reader.get_list(lambda r: SignedRequest.decode(r.get_bytes()))
-        reader.expect_end()
         return cls(header=header, requests=tuple(requests))
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 def genesis_block(chain_id: str = "zugchain") -> Block:

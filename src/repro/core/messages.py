@@ -10,47 +10,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 from repro.wire.messages import SignedRequest
 
 
 @dataclass(frozen=True)
-class ZugBroadcast:
+class ZugBroadcast(WireMessage):
     """Backup's broadcast of an unlogged request to the whole group."""
 
     request: SignedRequest
 
-    def encode(self) -> bytes:
-        return self.request.encode()
+    def write_to(self, writer: Writer) -> None:
+        self.request.write_to(writer)
 
     @classmethod
-    def decode(cls, data: bytes) -> "ZugBroadcast":
-        return cls(request=SignedRequest.decode(data))
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
+    def read_from(cls, reader: Reader) -> "ZugBroadcast":
+        return cls(request=SignedRequest.read_from(reader))
 
 
 @dataclass(frozen=True)
-class ZugForward:
+class ZugForward(WireMessage):
     """Relay of a broadcast to the primary (preserves the origin's id/signature)."""
 
     request: SignedRequest
     forwarder_id: str
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_bytes(self.request.encode())
         writer.put_str(self.forwarder_id)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "ZugForward":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "ZugForward":
         request = SignedRequest.decode(reader.get_bytes())
         forwarder_id = reader.get_str()
-        reader.expect_end()
         return cls(request=request, forwarder_id=forwarder_id)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

@@ -30,7 +30,7 @@ from repro.chain.blockchain import Blockchain, PruneCertificate
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
 from repro.util.errors import ChainError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
 _DOMAIN_STATE_REQ = b"statesync/request"
@@ -38,7 +38,7 @@ _DOMAIN_STATE_REP = b"statesync/reply"
 
 
 @dataclass(frozen=True)
-class StateRequest:
+class StateRequest(WireMessage):
     """A lagging replica asks a peer for everything above ``have_height``."""
 
     requester_id: str
@@ -55,28 +55,21 @@ class StateRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.requester_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.requester_id)
         writer.put_uint(self.have_height)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "StateRequest":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "StateRequest":
         requester_id = reader.get_str()
         have_height = reader.get_uint()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(requester_id=requester_id, have_height=have_height, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
-class StateReply:
+class StateReply(WireMessage):
     """Checkpointed state: certificate, chain segment, prune justification.
 
     ``view`` carries the responder's current view so a recovering replica
@@ -116,8 +109,7 @@ class StateReply:
             delete_signatures=dict(self.prune_signatures),
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_bytes(self.checkpoint.encode())
         writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
@@ -127,11 +119,9 @@ class StateReply:
                         lambda w, p: (w.put_str(p[0]), w.put_fixed(p[1], SIGNATURE_SIZE)))
         writer.put_uint(self.view)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "StateReply":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "StateReply":
         replica_id = reader.get_str()
         checkpoint = CheckpointCertificate.decode(reader.get_bytes())
         blocks = reader.get_list(lambda r: Block.decode(r.get_bytes()))
@@ -142,14 +132,10 @@ class StateReply:
         )
         view = reader.get_uint()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, checkpoint=checkpoint, blocks=tuple(blocks),
                    prune_base_height=prune_base_height, prune_base_hash=prune_base_hash,
                    prune_signatures=tuple(prune_signatures), view=view,
                    signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 class StateSync:

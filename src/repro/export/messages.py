@@ -12,7 +12,7 @@ from repro.bft.checkpoint import CheckpointCertificate
 from repro.chain.block import Block
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
 
@@ -27,7 +27,7 @@ _DOMAIN_SESSION_RESUME = b"export/session-resume"
 
 
 @dataclass(frozen=True)
-class ReadRequest:
+class ReadRequest(WireMessage):
     """Step ①: a data center asks replicas for blocks since ``last_sn``.
 
     ``full_from`` names the randomly chosen replica that also ships the
@@ -49,30 +49,23 @@ class ReadRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.last_sn)
         writer.put_str(self.full_from)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "ReadRequest":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "ReadRequest":
         dc_id = reader.get_str()
         last_sn = reader.get_uint()
         full_from = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(dc_id=dc_id, last_sn=last_sn, full_from=full_from, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
-class ReadReply:
+class ReadReply(WireMessage):
     """Step ②: a replica's latest stable checkpoint, plus blocks if designated."""
 
     replica_id: str
@@ -92,32 +85,25 @@ class ReadReply:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_bytes(self.checkpoint.encode() if self.checkpoint else b"")
         writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "ReadReply":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "ReadReply":
         replica_id = reader.get_str()
         raw_cp = reader.get_bytes()
         checkpoint = CheckpointCertificate.decode(raw_cp) if raw_cp else None
         blocks = reader.get_list(lambda r: Block.decode(r.get_bytes()))
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, checkpoint=checkpoint,
                    blocks=tuple(blocks), signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DcSync:
+class DcSync(WireMessage):
     """Step ③: inter-data-center synchronization of the export payload."""
 
     dc_id: str
@@ -136,31 +122,24 @@ class DcSync:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.dc_id)
         writer.put_bytes(self.checkpoint.encode())
         writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "DcSync":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "DcSync":
         dc_id = reader.get_str()
         checkpoint = CheckpointCertificate.decode(reader.get_bytes())
         blocks = reader.get_list(lambda r: Block.decode(r.get_bytes()))
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(dc_id=dc_id, checkpoint=checkpoint, blocks=tuple(blocks),
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DeleteRequest:
+class DeleteRequest(WireMessage):
     """Step ⑤: a data center authorizes pruning up to a specific block."""
 
     dc_id: str
@@ -180,33 +159,26 @@ class DeleteRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.upto_sn)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "DeleteRequest":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "DeleteRequest":
         dc_id = reader.get_str()
         upto_sn = reader.get_uint()
         block_height = reader.get_uint()
         block_hash = reader.get_fixed(32)
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(dc_id=dc_id, upto_sn=upto_sn, block_height=block_height,
                    block_hash=block_hash, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DeleteAck:
+class DeleteAck(WireMessage):
     """Step ⑦: a replica confirms it pruned up to ``block_height``."""
 
     replica_id: str
@@ -224,31 +196,24 @@ class DeleteAck:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "DeleteAck":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "DeleteAck":
         replica_id = reader.get_str()
         block_height = reader.get_uint()
         block_hash = reader.get_fixed(32)
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, block_height=block_height,
                    block_hash=block_hash, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class SessionResume:
+class SessionResume(WireMessage):
     """A recovered replica announces it can serve export traffic again.
 
     Sent to every known data center after crash recovery: carries the
@@ -275,34 +240,27 @@ class SessionResume:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_uint(self.chain_height)
         writer.put_fixed(self.head_hash, 32)
         writer.put_uint(self.incarnation)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "SessionResume":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "SessionResume":
         replica_id = reader.get_str()
         chain_height = reader.get_uint()
         head_hash = reader.get_fixed(32)
         incarnation = reader.get_uint()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, chain_height=chain_height,
                    head_hash=head_hash, incarnation=incarnation,
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class BlockFetch:
+class BlockFetch(WireMessage):
     """Step ④ second round: request specific missing blocks from a replica."""
 
     dc_id: str
@@ -320,31 +278,24 @@ class BlockFetch:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.first_height)
         writer.put_uint(self.last_height)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "BlockFetch":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "BlockFetch":
         dc_id = reader.get_str()
         first_height = reader.get_uint()
         last_height = reader.get_uint()
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(dc_id=dc_id, first_height=first_height,
                    last_height=last_height, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class BlockFetchReply:
+class BlockFetchReply(WireMessage):
     """Blocks served for a :class:`BlockFetch`."""
 
     replica_id: str
@@ -362,21 +313,14 @@ class BlockFetchReply:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
         writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
-    def decode(cls, data: bytes) -> "BlockFetchReply":
-        reader = Reader(data)
+    def read_from(cls, reader: Reader) -> "BlockFetchReply":
         replica_id = reader.get_str()
         blocks = reader.get_list(lambda r: Block.decode(r.get_bytes()))
         signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
         return cls(replica_id=replica_id, blocks=tuple(blocks), signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

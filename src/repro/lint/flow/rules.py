@@ -32,7 +32,7 @@ from repro.lint.flow.summaries import (
     taint_exempt_module,
     taint_findings,
 )
-from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations
+from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations, is_codec_class
 
 _MESSAGE_TYPES_RE = re.compile(r"MESSAGE_TYPES")
 
@@ -103,11 +103,11 @@ class VerifyBeforeMutateRule(Rule):
 
 
 def _wire_message_classes(graph: CallGraph) -> set[str]:
-    """Class keys of repro.* classes defining both encode and decode."""
+    """Class keys of repro.* codec classes (see :func:`is_codec_class`)."""
     return {
         key for key, cls in graph.classes.items()
         if cls.module.startswith("repro.")
-        and {"encode", "decode"} <= cls.methods.keys()
+        and is_codec_class(cls.name, cls.base_names, cls.methods)
     }
 
 
@@ -169,24 +169,30 @@ def _enclosing_function(ctx, node: ast.AST) -> ast.FunctionDef | ast.AsyncFuncti
     return None
 
 
+#: Methods that decode a message: ``WireMessage`` subclasses define only
+#: ``read_from``; classes with their own codec define ``decode``.
+_DECODE_METHODS = ("decode", "read_from")
+
+
 def _decode_closure(graph: CallGraph, roots: set[str]) -> set[str]:
     """Classes reachable from ``roots`` through decode-method bodies.
 
-    ``StateReply.decode`` calling ``Block.decode`` (possibly inside a
+    ``StateReply.read_from`` calling ``Block.decode`` (possibly inside a
     ``get_list`` lambda) makes ``Block`` reachable: its tag is justified
-    even though no dispatcher tests ``isinstance(msg, Block)``.
+    even though no dispatcher tests ``isinstance(msg, Block)``.  A nested
+    ``X.read_from`` call counts the same as ``X.decode``.
     """
     reachable = set(roots)
     worklist = list(roots)
     while worklist:
         class_key = worklist.pop()
         cls = graph.classes.get(class_key)
-        if cls is None or "decode" not in cls.methods:
+        if cls is None:
             continue
         # Chase same-class helpers (``decode`` delegating to ``read_from``)
-        # so nested ``X.decode`` calls are found wherever they live.
-        methods = ["decode"]
-        seen_methods = {"decode"}
+        # so nested decode calls are found wherever they live.
+        methods = [name for name in _DECODE_METHODS if name in cls.methods]
+        seen_methods = set(methods)
         while methods:
             fn = graph.functions.get(cls.methods.get(methods.pop(), ""))
             if fn is None:
@@ -202,7 +208,7 @@ def _decode_closure(graph: CallGraph, roots: set[str]) -> set[str]:
                     seen_methods.add(attr)
                     methods.append(attr)
                     continue
-                if attr != "decode":
+                if attr not in _DECODE_METHODS:
                     continue
                 target = graph.resolve_class(cls.module, receiver)
                 if target is not None and target not in reachable:

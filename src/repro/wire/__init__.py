@@ -3,16 +3,18 @@
 The paper exchanges blockchain data in Protobuf; we reproduce the property
 that matters for the evaluation — byte-accurate, compact, self-delimiting
 message encoding — with a small length-prefixed codec.  Every protocol
-message implements ``encode``/``decode`` and knows its exact wire size,
-which feeds the network-utilization results.
+message subclasses :class:`WireMessage`, states only its field layout, and
+inherits ``encode``/``decode`` and its exact wire size (``encoded_size``,
+derived from the encoding), which feeds the network-utilization results.
 """
 
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 from repro.wire.messages import Request, SignedRequest
 from repro.wire.registry import decode_message, encode_message, register_message_type
 
 __all__ = [
     "Reader",
+    "WireMessage",
     "Writer",
     "Request",
     "SignedRequest",

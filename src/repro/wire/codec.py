@@ -1,9 +1,12 @@
-"""Binary writer/reader over the varint primitives.
+"""Binary writer/reader over the varint primitives, and the message base.
 
-Every message type implements ``encode()`` with a :class:`Writer` and a
-``decode()`` classmethod with a :class:`Reader`.  The style is deliberately
-explicit — one line per field, symmetric between the two directions — so a
-reviewer can audit that signing payloads cover exactly the intended fields.
+Every registered message type subclasses :class:`WireMessage` and states
+only its field layout: ``write_to()`` with a :class:`Writer` and a
+``read_from()`` classmethod with a :class:`Reader`.  The style is
+deliberately explicit — one line per field, symmetric between the two
+directions — so a reviewer can audit that signing payloads cover exactly
+the intended fields.  ``encode``/``decode`` and ``encoded_size`` exist only
+on the base, so no message can state a size that disagrees with its bytes.
 """
 
 from __future__ import annotations
@@ -111,3 +114,39 @@ class Reader:
     def expect_end(self) -> None:
         if self.remaining:
             raise CodecError(f"{self.remaining} trailing bytes after message")
+
+
+class WireMessage:
+    """Base of every registered message: the codec derived from one layout.
+
+    Subclasses are frozen dataclasses defining ``write_to`` and
+    ``read_from``.  ``encoded_size`` caches the length (never the bytes:
+    nested messages would hold their payload several times over) in the
+    instance ``__dict__``, outside the dataclass fields, so equality,
+    hashing and ``dataclasses.replace`` ignore it.
+    """
+
+    def write_to(self, writer: Writer) -> None:
+        raise NotImplementedError
+
+    @classmethod
+    def read_from(cls, reader: Reader):
+        raise NotImplementedError
+
+    def encode(self) -> bytes:
+        writer = Writer()
+        self.write_to(writer)
+        return writer.getvalue()
+
+    @classmethod
+    def decode(cls, data: bytes):
+        reader = Reader(data)
+        message = cls.read_from(reader)
+        reader.expect_end()
+        return message
+
+    def encoded_size(self) -> int:
+        size = self.__dict__.get("_encoded_size")
+        if size is None:
+            size = self.__dict__["_encoded_size"] = len(self.encode())
+        return size

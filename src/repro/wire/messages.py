@@ -18,11 +18,11 @@ from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_REQUEST, sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import Reader, WireMessage, Writer
 
 
 @dataclass(frozen=True)
-class Request:
+class Request(WireMessage):
     """One bus cycle's consolidated, parsed signal data."""
 
     payload: bytes
@@ -47,20 +47,11 @@ class Request:
             domain=DOMAIN_REQUEST,
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_bytes(self.payload)
         writer.put_uint(self.bus_cycle)
         writer.put_uint(self.recv_timestamp_us)
         writer.put_str(self.source_link)
-        return writer.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Request":
-        reader = Reader(data)
-        request = cls.read_from(reader)
-        reader.expect_end()
-        return request
 
     @classmethod
     def read_from(cls, reader: Reader) -> "Request":
@@ -75,15 +66,9 @@ class Request:
             source_link=source_link,
         )
 
-    def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.encode())
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class SignedRequest:
+class SignedRequest(WireMessage):
     """A request authenticated by the node that submits it to consensus."""
 
     request: Request
@@ -107,19 +92,10 @@ class SignedRequest:
     def digest(self) -> bytes:
         return self.request.digest
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: Writer) -> None:
         writer.put_bytes(self.request.encode())
         writer.put_str(self.node_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SignedRequest":
-        reader = Reader(data)
-        signed = cls.read_from(reader)
-        reader.expect_end()
-        return signed
 
     @classmethod
     def read_from(cls, reader: Reader) -> "SignedRequest":
@@ -127,9 +103,6 @@ class SignedRequest:
         node_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
         return cls(request=request, node_id=node_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 #: Reserved source link marking a no-op filler request.  A new primary uses

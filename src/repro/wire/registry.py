@@ -15,22 +15,23 @@ PROTO002 rule exists to catch statically.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.util.errors import CodecError
 from repro.util.varint import decode_bytes, decode_uvarint, encode_bytes, encode_uvarint
+from repro.wire.codec import WireMessage
 
-_DECODERS: dict[int, Callable[[bytes], object]] = {}
-_CLASSES: dict[int, type] = {}
-_TAGS: dict[type, int] = {}
+_CLASSES: dict[int, type[WireMessage]] = {}
+_TAGS: dict[type[WireMessage], int] = {}
 
 
-def register_message_type(tag: int, cls: type, decoder: Callable[[bytes], object] | None = None) -> None:
-    """Register ``cls`` (with an ``encode`` method) under wire ``tag``.
+def register_message_type(tag: int, cls: type[WireMessage]) -> None:
+    """Register the :class:`WireMessage` subclass ``cls`` under wire ``tag``.
 
-    Raises :class:`CodecError` if ``tag`` is already bound to a different
-    class, or ``cls`` is already bound to a different tag.
+    Raises :class:`CodecError` if ``cls`` is not a :class:`WireMessage`,
+    ``tag`` is already bound to a different class, or ``cls`` is already
+    bound to a different tag.
     """
+    if not (isinstance(cls, type) and issubclass(cls, WireMessage)):
+        raise CodecError(f"{cls!r} is not a WireMessage subclass; it has no codec")
     registered = _CLASSES.get(tag)
     if registered is not None and registered is not cls:
         raise CodecError(
@@ -44,11 +45,10 @@ def register_message_type(tag: int, cls: type, decoder: Callable[[bytes], object
             f"{existing_tag}; refusing to also register it under {tag}"
         )
     _CLASSES[tag] = cls
-    _DECODERS[tag] = decoder or cls.decode
     _TAGS[cls] = tag
 
 
-def registered_types() -> dict[int, type]:
+def registered_types() -> dict[int, type[WireMessage]]:
     """Snapshot of every ``tag → class`` binding, for introspection.
 
     Consumed by the dynamic round-trip test (every registered type must
@@ -57,19 +57,19 @@ def registered_types() -> dict[int, type]:
     return dict(_CLASSES)
 
 
-def encode_message(message: object) -> bytes:
+def encode_message(message: WireMessage) -> bytes:
     """Encode ``message`` with its registered type tag prefix."""
     tag = _TAGS.get(type(message))
     if tag is None:
         raise CodecError(f"message type {type(message).__name__} not registered")
-    return encode_uvarint(tag) + encode_bytes(message.encode())  # type: ignore[attr-defined]
+    return encode_uvarint(tag) + encode_bytes(message.encode())
 
 
-def decode_message(data: bytes) -> tuple[object, int]:
+def decode_message(data: bytes) -> tuple[WireMessage, int]:
     """Decode one tagged message; returns ``(message, bytes_consumed)``."""
     tag, pos = decode_uvarint(data)
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
+    cls = _CLASSES.get(tag)
+    if cls is None:
         raise CodecError(f"unknown wire tag {tag}")
     body, end = decode_bytes(data, pos)
-    return decoder(body), end
+    return cls.decode(body), end

@@ -138,6 +138,44 @@ def test_decode_closure_chases_same_class_helpers():
     ]
 
 
+def test_wire_message_subclasses_are_codec_classes_and_read_from_is_chased():
+    # New-style codec classes: WireMessage subclasses defining only the
+    # layout.  Loose is still recognized as a dispatched codec class, and
+    # the nested Pong.decode inside Ping.read_from justifies Pong's tag.
+    messages = """
+from repro.wire.codec import WireMessage
+
+class Ping(WireMessage):
+    def write_to(self, writer):
+        writer.put_bytes(self.inner.encode())
+
+    @classmethod
+    def read_from(cls, reader):
+        inner = Pong.decode(reader.get_bytes())
+        return cls()
+
+class Pong(WireMessage):
+    def write_to(self, writer):
+        writer.put_uint(2)
+
+    @classmethod
+    def read_from(cls, reader):
+        return cls()
+
+class Loose(WireMessage):
+    def write_to(self, writer):
+        writer.put_uint(3)
+
+    @classmethod
+    def read_from(cls, reader):
+        return cls()
+"""
+    findings = run(crate(messages=messages))
+    assert [finding.anchor for finding in findings] == [
+        "dispatched-unregistered:repro.core.cratemsgs.Loose"
+    ]
+
+
 def test_message_types_tuple_counts_as_dispatch_evidence():
     handler = """
     from repro.core.cratemsgs import Ping, Pong

@@ -56,6 +56,43 @@ def test_proto001_flags_unregistered_codec_class():
     assert "Ping" in findings[0].message
 
 
+def test_proto001_flags_unregistered_wire_message_subclass():
+    # The codec lives on the WireMessage base: a subclass states only its
+    # layout, with no encode/decode of its own, and is still a codec class.
+    findings = run(
+        {
+            MESSAGE_MODULE: """
+            from repro.wire.codec import WireMessage
+
+            class Ping(WireMessage):
+                def write_to(self, writer):
+                    writer.put_uint(1)
+
+                @classmethod
+                def read_from(cls, reader):
+                    return cls()
+
+            class Pong(WireMessage):
+                def write_to(self, writer):
+                    writer.put_uint(2)
+
+                @classmethod
+                def read_from(cls, reader):
+                    return cls()
+            """,
+            TAG_TABLE: """
+            WIRE_TAGS = {1: Pong}
+
+            for _tag, _cls in WIRE_TAGS.items():
+                register_message_type(_tag, _cls)
+            """,
+        },
+        select=["PROTO001"],
+    )
+    assert codes(findings) == ["PROTO001"]
+    assert "Ping" in findings[0].message
+
+
 def test_proto001_clean_when_registered_and_without_registry_in_view():
     registered = run(
         {
@@ -395,59 +432,4 @@ def test_proto004_clean_for_immutable_defaults():
             """
         },
         select=["PROTO004"],
-    )
-
-
-# --- PROTO005: encoded_size drift ----------------------------------------
-
-def test_proto005_flags_literal_arithmetic_in_encoded_size():
-    findings = run(
-        {
-            "src/repro/core/messages.py": """
-            class Wrapper:
-                def encode(self):
-                    return self.request.encode()
-
-                def decode(self):
-                    return self
-
-                def encoded_size(self):
-                    return self.request.encoded_size() + 1
-            """
-        },
-        select=["PROTO005"],
-    )
-    assert codes(findings) == ["PROTO005"]
-
-
-def test_proto005_clean_when_derived_from_the_codec():
-    assert not run(
-        {
-            "src/repro/core/messages.py": """
-            class Wrapper:
-                def encode(self):
-                    return self.request.encode()
-
-                def decode(self):
-                    return self
-
-                def encoded_size(self):
-                    return len(self.encode())
-            """
-        },
-        select=["PROTO005"],
-    )
-
-
-def test_proto005_ignores_classes_without_a_codec():
-    # Hand arithmetic is fine when there is no encode() to drift from.
-    assert not run(
-        {
-            "src/repro/sim/resources.py": """
-            class Budget:
-                def encoded_size(self):
-                    return self.base + 1
-            """
-        },
-        select=["PROTO005"],
     )

@@ -127,3 +127,6 @@ def test_registry_unregistered_type():
 
     with pytest.raises(CodecError):
         encode_message(Foreign())
+    # A class without the WireMessage codec cannot be registered at all.
+    with pytest.raises(CodecError):
+        register_message_type(901, Foreign)
