@@ -284,6 +284,13 @@ class PbftReplica:
             self.stats.invalid_signatures += 1
             return
         instance = self._instance(preprepare.seq)
+        stored = instance.preprepare
+        if stored is not None and stored.view < preprepare.view and not instance.committed:
+            # A leftover from a view this replica has since left without a
+            # NewView (``adopt_view`` after recovery).  Its request digest
+            # may equal this one while its signer differs, and the signer
+            # is part of the block: executing it would fork the chain.
+            self._drop_older_views(instance, preprepare.view)
         if instance.preprepare is not None:
             if instance.preprepare.digest != preprepare.digest:
                 # A primary proposing two different requests for one sequence
@@ -298,6 +305,15 @@ class PbftReplica:
         ).signed(self.keypair)
         self._add_prepare(prepare)
         self.env.broadcast(prepare)
+
+    def _drop_older_views(self, instance: _Instance, view: int) -> None:
+        """Forget an instance's preprepare and votes from views before ``view``."""
+        self._log_bytes -= self._instance_bytes(instance)
+        instance.preprepare = None
+        instance.prepares = {r: p for r, p in instance.prepares.items() if p.view >= view}
+        instance.commits = {r: c for r, c in instance.commits.items() if c.view >= view}
+        instance.prepared = False
+        self._log_bytes += self._instance_bytes(instance)
 
     def _accept_preprepare(self, preprepare: PrePrepare) -> None:
         instance = self._instance(preprepare.seq)

@@ -7,13 +7,23 @@ checksum — and one bus cycle's full complement as :class:`BusCycleData`.
 
 Frame sizes feed the payload-size accounting: real MVB frames carry up to
 32 bytes of process data plus header and check sequence overhead.
+
+Every node on the bus reads the same broadcast, so what is a pure function
+of one frozen telegram or cycle is computed once and shared by all readers:
+a telegram's validity and its encoded payload entry, a cycle's wire size
+and its count of invalid telegrams.  The caches live in the instance
+``__dict__``, outside the dataclass fields, so equality, hashing and
+``dataclasses.replace`` ignore them.  Nothing that differs per node (the
+relevance filter's state, what a node retains, its requests) is cached here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.util.errors import CodecError
+from repro.util.varint import encode_uvarint
 from repro.wire.codec import Reader, Writer
 
 #: Header + check-sequence overhead per slave telegram, per IEC 61375-3-1.
@@ -28,10 +38,7 @@ def frame_checksum(port: int, data: bytes) -> int:
     A simple stand-in for the MVB's CRC; enough to detect the single-bit
     corruptions our fault injector produces.
     """
-    total = (port >> 8) + (port & 0xFF)
-    for byte in data:
-        total += byte
-    return total & 0xFF
+    return ((port >> 8) + (port & 0xFF) + sum(data)) & 0xFF
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,20 @@ class ProcessDataFrame:
             )
         return ProcessDataFrame(port=port, data=data, checksum=frame_checksum(port, data))
 
-    @property
+    @cached_property
     def valid(self) -> bool:
         return self.checksum == frame_checksum(self.port, self.data)
+
+    @cached_property
+    def payload_entry(self) -> bytes:
+        """The ``(port, data, valid)`` triple as a cycle payload carries it.
+
+        Same bytes as ``Writer().put_uint(port).put_bytes(data).put_bool(valid)``.
+        """
+        return b"".join((
+            encode_uvarint(self.port), encode_uvarint(len(self.data)), self.data,
+            b"\x01" if self.valid else b"\x00",
+        ))
 
     def wire_size(self) -> int:
         return FRAME_OVERHEAD_BYTES + len(self.data)
@@ -91,7 +109,17 @@ class BusCycleData:
     frames: tuple[ProcessDataFrame, ...]
 
     def wire_size(self) -> int:
-        return sum(frame.wire_size() for frame in self.frames)
+        size = self.__dict__.get("_wire_size")
+        if size is None:
+            size = self.__dict__["_wire_size"] = sum(
+                frame.wire_size() for frame in self.frames
+            )
+        return size
+
+    @cached_property
+    def invalid_frames(self) -> int:
+        """Telegrams in this cycle whose check sequence fails."""
+        return sum(1 for frame in self.frames if not frame.valid)
 
     def data_size(self) -> int:
         return sum(len(frame.data) for frame in self.frames)

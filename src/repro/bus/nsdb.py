@@ -41,10 +41,15 @@ class Nsdb:
             raise ConfigError(f"unknown signal {name!r}") from None
 
     def by_port(self, port: int) -> SignalDef:
-        name = self._ports.get(port)
-        if name is None:
+        definition = self.lookup(port)
+        if definition is None:
             raise ConfigError(f"no signal on port {port:#x}")
-        return self.signals[name]
+        return definition
+
+    def lookup(self, port: int) -> SignalDef | None:
+        """The signal on ``port``, or None for a port outside the NSDB."""
+        name = self._ports.get(port)
+        return None if name is None else self.signals[name]
 
     def has_port(self, port: int) -> bool:
         return port in self._ports

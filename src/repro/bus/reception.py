@@ -10,6 +10,12 @@ Frames with a failed check sequence are *still logged* (flagged), matching
 the JRU's obligation to record what was on the bus; their payload then
 legitimately diverges between nodes, and the communication layer logs each
 divergent observation.
+
+Per telegram and per cycle, the facts every node would derive alike
+(validity, the encoded payload entry, the invalid-telegram count) are
+computed once on the shared frozen frames (:mod:`repro.bus.frames`).  What
+each node decides for itself stays per receiver: the relevance filter's
+last-seen values, the telegrams it retains, and the request it builds.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.bus.frames import BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
-from repro.wire.codec import Reader, Writer
+from repro.util.varint import encode_uvarint
+from repro.wire.codec import Reader
 from repro.wire.messages import Request
 
 
@@ -37,11 +44,8 @@ class RelevanceFilter:
     def apply(self, frames: tuple[ProcessDataFrame, ...]) -> list[ProcessDataFrame]:
         retained: list[ProcessDataFrame] = []
         for frame in frames:
-            if not self.nsdb.has_port(frame.port):
-                retained.append(frame)
-                continue
-            definition = self.nsdb.by_port(frame.port)
-            if not definition.log_on_change_only:
+            definition = self.nsdb.lookup(frame.port)
+            if definition is None or not definition.log_on_change_only:
                 retained.append(frame)
                 continue
             if self._last_raw.get(frame.port) != frame.data:
@@ -54,14 +58,12 @@ class RelevanceFilter:
 
 
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
-    """Deterministic payload: (port, data, valid) triples sorted by port."""
-    writer = Writer()
+    """Deterministic payload: (port, data, valid) triples sorted by port.
+
+    The layout of ``Writer.put_list`` over the frames' cached entries.
+    """
     ordered = sorted(frames, key=lambda frame: frame.port)
-    writer.put_list(
-        ordered,
-        lambda w, f: (w.put_uint(f.port), w.put_bytes(f.data), w.put_bool(f.valid)),
-    )
-    return writer.getvalue()
+    return encode_uvarint(len(ordered)) + b"".join(f.payload_entry for f in ordered)
 
 
 def decode_cycle_payload(payload: bytes) -> list[tuple[int, bytes, bool]]:
@@ -91,7 +93,7 @@ class BusReceiver:
     def on_cycle(self, cycle: BusCycleData, now_us: int) -> Request | None:
         """Consolidate one bus cycle into a request (None if fully filtered)."""
         self.cycles_seen += 1
-        self.invalid_frames_seen += sum(1 for frame in cycle.frames if not frame.valid)
+        self.invalid_frames_seen += cycle.invalid_frames
         retained = self._filter.apply(cycle.frames)
         if not retained:
             self.cycles_empty_after_filter += 1

@@ -86,11 +86,8 @@ class CallGraph:
         self.classes: dict[str, ClassInfo] = {}
         #: module -> local alias -> dotted import target
         self.imports: dict[str, dict[str, str]] = {}
-        #: "module:NAME" -> integer value, for size-constant resolution
-        self.int_constants: dict[str, int] = {}
         self._class_by_name: dict[str, list[str]] = {}
         self._func_by_name: dict[str, list[str]] = {}
-        self._const_by_name: dict[str, list[str]] = {}
         self._local_types: dict[str, dict[str, str]] = {}
         for ctx in project.files:
             self._index_file(ctx)
@@ -102,8 +99,7 @@ class CallGraph:
     # -- indexing ---------------------------------------------------------------
 
     def _index_file(self, ctx: FileContext) -> None:
-        module = ctx.module
-        imports = self.imports.setdefault(module, {})
+        imports = self.imports.setdefault(ctx.module, {})
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -122,15 +118,6 @@ class CallGraph:
                 self._register_function(ctx, stmt, class_name=None)
             elif isinstance(stmt, ast.ClassDef):
                 self._register_class(ctx, stmt)
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if (isinstance(target, ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, int)
-                        and not isinstance(stmt.value.value, bool)):
-                    key = f"{module}:{target.id}"
-                    self.int_constants[key] = stmt.value.value
-                    self._const_by_name.setdefault(target.id, []).append(key)
 
     def _register_function(
         self,
@@ -189,21 +176,6 @@ class CallGraph:
                 return imported
         candidates = self._func_by_name.get(name, [])
         return candidates[0] if len(candidates) == 1 else None
-
-    def resolve_int_constant(self, module: str, name: str) -> int | None:
-        key = f"{module}:{name}"
-        if key in self.int_constants:
-            return self.int_constants[key]
-        target = self.imports.get(module, {}).get(name)
-        if target and "." in target:
-            target_module, _, symbol = target.rpartition(".")
-            imported = f"{target_module}:{symbol}"
-            if imported in self.int_constants:
-                return self.int_constants[imported]
-        candidates = self._const_by_name.get(name, [])
-        if len(candidates) == 1:
-            return self.int_constants[candidates[0]]
-        return None
 
     def method_on(self, class_key: str, method: str) -> FunctionInfo | None:
         """Look up ``method`` on a class, walking project-resolvable bases."""

@@ -71,3 +71,23 @@ def test_single_liar_cannot_trigger_sync():
     node.statesync.observe_checkpoint("node-3", lie)
     node.statesync.observe_checkpoint("node-3", lie)  # same liar twice
     assert node.statesync._sync_in_flight is False  # needs f+1 distinct vouchers
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+def test_recovered_primary_chain_matches_the_group(seed):
+    # node-0 restarts in view 0 and proposes its own copies of requests the
+    # group ordered in view 1; once it adopts view 1 it must execute the new
+    # primary's preprepares, not its stale ones (same request digest,
+    # different signer, so a different block hash).
+    cluster = SimulatedCluster(ScenarioConfig(system="zugchain", cycle_time_s=0.032, seed=seed))
+    cluster.kernel.schedule(2.0, lambda: cluster.crash_node("node-0"))
+    cluster.kernel.schedule(4.0, lambda: cluster.recover_node("node-0"))
+    cluster.run(duration_s=8.0)
+    recovered = cluster.nodes["node-0"].chain
+    healthy = cluster.nodes["node-1"].chain
+    low = max(recovered.base_height, healthy.base_height)
+    high = min(recovered.height, healthy.height)
+    assert high - low > 10
+    divergent = [h for h in range(low, high + 1)
+                 if recovered.block_at(h).block_hash != healthy.block_at(h).block_hash]
+    assert divergent == []

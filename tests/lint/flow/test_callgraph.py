@@ -61,13 +61,6 @@ def test_resolve_class_follows_imports():
     assert graph.classes[key].module == "repro.core.things"
 
 
-def test_resolve_int_constant_follows_imports():
-    graph = graph_of(CRATE)
-    assert graph.resolve_int_constant("repro.core.things", "HEADER") == 4
-    assert graph.resolve_int_constant("repro.core.user", "HEADER") == 4
-    assert graph.resolve_int_constant("repro.core.user", "MISSING") is None
-
-
 def test_method_on_walks_base_classes():
     graph = graph_of(CRATE)
     thing = graph.resolve_class("repro.core.things", "Thing")
