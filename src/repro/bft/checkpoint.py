@@ -52,7 +52,7 @@ class CheckpointCertificate(WireMessage):
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.state_digest, 32)
-        writer.put_list(list(self.signatures), lambda w, cp: w.put_bytes(cp.encode()))
+        writer.put_messages(self.signatures)
 
     @classmethod
     def read_from(cls, reader: Reader) -> "CheckpointCertificate":

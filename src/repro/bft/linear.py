@@ -109,7 +109,7 @@ class CommitCert(WireMessage):
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
-        writer.put_list(list(self.votes), lambda w, v: w.put_bytes(v.encode()))
+        writer.put_messages(self.votes)
 
     @classmethod
     def read_from(cls, reader: Reader) -> "CommitCert":

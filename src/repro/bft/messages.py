@@ -65,7 +65,7 @@ class PrePrepare(WireMessage):
     def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
-        writer.put_bytes(self.request.encode())
+        writer.put_message(self.request)
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
@@ -208,7 +208,7 @@ class PreparedProof(WireMessage):
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
-        writer.put_bytes(self.request.encode())
+        writer.put_message(self.request)
 
     @classmethod
     def read_from(cls, reader: Reader) -> "PreparedProof":
@@ -250,7 +250,7 @@ class ViewChange(WireMessage):
         writer.put_uint(self.new_view)
         writer.put_uint(self.last_stable_seq)
         writer.put_fixed(self.stable_checkpoint_digest, 32)
-        writer.put_list(list(self.prepared), lambda w, p: w.put_bytes(p.encode()))
+        writer.put_messages(self.prepared)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
@@ -294,8 +294,8 @@ class NewView(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_uint(self.view)
-        writer.put_list(list(self.view_changes), lambda w, vc: w.put_bytes(vc.encode()))
-        writer.put_list(list(self.preprepares), lambda w, pp: w.put_bytes(pp.encode()))
+        writer.put_messages(self.view_changes)
+        writer.put_messages(self.preprepares)
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
@@ -392,8 +392,8 @@ class DecideProof(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.preprepare.encode())
-        writer.put_list(list(self.commits), lambda w, c: w.put_bytes(c.encode()))
+        writer.put_message(self.preprepare)
+        writer.put_messages(self.commits)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
     @classmethod

@@ -95,8 +95,8 @@ class Block(WireMessage):
         return MerkleTree(self.payload_leaves())
 
     def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.header.encode())
-        writer.put_list(list(self.requests), lambda w, r: w.put_bytes(r.encode()))
+        writer.put_message(self.header)
+        writer.put_messages(self.requests)
 
     @classmethod
     def read_from(cls, reader: Reader) -> "Block":

@@ -36,7 +36,7 @@ class ZugForward(WireMessage):
     forwarder_id: str
 
     def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.request.encode())
+        writer.put_message(self.request)
         writer.put_str(self.forwarder_id)
 
     @classmethod

@@ -111,8 +111,8 @@ class StateReply(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.checkpoint.encode())
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_message(self.checkpoint)
+        writer.put_messages(self.blocks)
         writer.put_uint(self.prune_base_height)
         writer.put_bytes(self.prune_base_hash)
         writer.put_list(list(self.prune_signatures),

@@ -87,8 +87,11 @@ class ReadReply(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.checkpoint.encode() if self.checkpoint else b"")
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        if self.checkpoint is None:
+            writer.put_bytes(b"")
+        else:
+            writer.put_message(self.checkpoint)
+        writer.put_messages(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
     @classmethod
@@ -124,8 +127,8 @@ class DcSync(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_str(self.dc_id)
-        writer.put_bytes(self.checkpoint.encode())
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_message(self.checkpoint)
+        writer.put_messages(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
     @classmethod
@@ -315,7 +318,7 @@ class BlockFetchReply(WireMessage):
 
     def write_to(self, writer: Writer) -> None:
         writer.put_str(self.replica_id)
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_messages(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
     @classmethod

@@ -76,6 +76,8 @@ _ORDER_SINKS = {
     "encode_message",
     "put_list",
     "put_bytes",
+    "put_message",
+    "put_messages",
     "sign",
     "send",
     "broadcast",

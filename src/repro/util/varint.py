@@ -12,9 +12,14 @@ from repro.util.errors import CodecError
 
 _MAX_VARINT_BYTES = 10  # enough for any uint64
 
+#: Encodings of 0..127, the one-byte varints most lengths and counts take.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
 
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned LEB128 varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise CodecError(f"cannot varint-encode negative value {value}")
     out = bytearray()

@@ -4,8 +4,10 @@ The paper exchanges blockchain data in Protobuf; we reproduce the property
 that matters for the evaluation — byte-accurate, compact, self-delimiting
 message encoding — with a small length-prefixed codec.  Every protocol
 message subclasses :class:`WireMessage`, states only its field layout, and
-inherits ``encode``/``decode`` and its exact wire size (``encoded_size``,
-derived from the encoding), which feeds the network-utilization results.
+inherits ``encode``/``decode`` and its exact wire size (``encoded_size``),
+which feeds the network-utilization results.  The size is a counting pass
+over the same layout ``encode`` writes, so sizing never builds bytes, and
+nested messages are written in place rather than encoded and copied.
 """
 
 from repro.wire.codec import Reader, WireMessage, Writer

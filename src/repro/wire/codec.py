@@ -6,13 +6,19 @@ only its field layout: ``write_to()`` with a :class:`Writer` and a
 deliberately explicit — one line per field, symmetric between the two
 directions — so a reviewer can audit that signing payloads cover exactly
 the intended fields.  ``encode``/``decode`` and ``encoded_size`` exist only
-on the base, so no message can state a size that disagrees with its bytes.
+on the base, so no message can state a size that disagrees with its bytes:
+``encode`` runs ``write_to`` against a :class:`Writer`, ``encoded_size``
+runs the same ``write_to`` against a writer that only counts.  Nested
+messages go through :meth:`Writer.put_message`, which writes the child in
+place behind a length prefix taken from the child's memoized size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.util.errors import CodecError
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import decode_uvarint, encode_uvarint, uvarint_size
 
 
 class Writer:
@@ -50,11 +56,55 @@ class Writer:
             put_item(self, item)
         return self
 
+    def put_message(self, message: "WireMessage") -> "Writer":
+        """Same bytes as ``put_bytes(message.encode())``, written in place."""
+        self.put_uint(message.encoded_size())
+        message.write_to(self)
+        return self
+
+    def put_messages(self, messages: Sequence["WireMessage"]) -> "Writer":
+        """A counted list of length-prefixed messages, each written in place."""
+        self.put_uint(len(messages))
+        for message in messages:
+            self.put_message(message)
+        return self
+
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)
+
+
+class _SizeCounter(Writer):
+    """A :class:`Writer` that validates every field but only adds up lengths."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def put_uint(self, value: int) -> "Writer":
+        self.size += uvarint_size(value)
+        return self
+
+    def put_bool(self, value: bool) -> "Writer":
+        self.size += 1
+        return self
+
+    def put_bytes(self, payload: bytes) -> "Writer":
+        length = len(payload)
+        self.size += uvarint_size(length) + length
+        return self
+
+    def put_fixed(self, payload: bytes, size: int) -> "Writer":
+        if len(payload) != size:
+            raise CodecError(f"fixed field expected {size} bytes, got {len(payload)}")
+        self.size += size
+        return self
+
+    def put_message(self, message: "WireMessage") -> "Writer":
+        length = message.encoded_size()
+        self.size += uvarint_size(length) + length
+        return self
 
 
 class Reader:
@@ -120,10 +170,18 @@ class WireMessage:
     """Base of every registered message: the codec derived from one layout.
 
     Subclasses are frozen dataclasses defining ``write_to`` and
-    ``read_from``.  ``encoded_size`` caches the length (never the bytes:
-    nested messages would hold their payload several times over) in the
-    instance ``__dict__``, outside the dataclass fields, so equality,
-    hashing and ``dataclasses.replace`` ignore it.
+    ``read_from``.  ``encoded_size`` is a counting pass: it runs the same
+    ``write_to`` against a writer that validates each field as ``encode``
+    would but adds up lengths instead of building bytes, and a nested
+    message contributes its own memoized size.  A block shared by several
+    replies is therefore sized once, and sizing never encodes.  ``encode``
+    writes nested messages in place (:meth:`Writer.put_message`), so no
+    child is encoded on its own and copied into its parent.
+
+    The length (never the bytes) is cached as a plain instance attribute
+    outside the dataclass fields, so equality, hashing and
+    ``dataclasses.replace`` ignore it.  It is set without touching
+    ``__dict__``, which would give every sized message a dict of its own.
     """
 
     def write_to(self, writer: Writer) -> None:
@@ -145,8 +203,14 @@ class WireMessage:
         reader.expect_end()
         return message
 
+    #: Class default until the first call sets the instance's own value.
+    _encoded_size: int | None = None
+
     def encoded_size(self) -> int:
-        size = self.__dict__.get("_encoded_size")
+        size = self._encoded_size
         if size is None:
-            size = self.__dict__["_encoded_size"] = len(self.encode())
+            counter = _SizeCounter()
+            self.write_to(counter)
+            size = counter.size
+            object.__setattr__(self, "_encoded_size", size)
         return size

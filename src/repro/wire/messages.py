@@ -93,7 +93,7 @@ class SignedRequest(WireMessage):
         return self.request.digest
 
     def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.request.encode())
+        writer.put_message(self.request)
         writer.put_str(self.node_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
 

@@ -133,6 +133,35 @@ def test_det003_clean_when_sorted_or_order_insensitive():
     )
 
 
+def test_det003_flags_unordered_messages_written_in_place():
+    findings = run(
+        """
+        def frame(writer, entries):
+            writer.put_messages([entry for entry in entries.keys()])
+
+        def frame_each(writer, pending):
+            for message in pending.values():
+                writer.put_message(message)
+        """,
+        select=["DET003"],
+    )
+    assert codes(findings) == ["DET003"] * 2
+
+
+def test_det003_clean_when_messages_written_in_sorted_order():
+    assert not run(
+        """
+        def frame(writer, entries):
+            writer.put_messages(sorted(entry for entry in entries.keys()))
+
+        def frame_each(writer, pending):
+            for key in sorted(pending):
+                writer.put_message(pending[key])
+        """,
+        select=["DET003"],
+    )
+
+
 # --- DET004: id()-based ordering ----------------------------------------
 
 def test_det004_flags_id_ordering():
